@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt docs-check sweep bench-smoke perf-gate shard \
+.PHONY: build test race stress vet fmt docs-check sweep bench-smoke perf-gate shard \
 	shard-merge shard-demo worker-bin fleet-check fleet-demo nightly-sweep \
 	nightly-trend cover fuzz serve-check ci
 
@@ -12,7 +12,7 @@ GO ?= go
 # than test's, so the test cache cannot share them); CI pays nothing — the
 # jobs run in parallel — and locally it adds ~1 minute to a multi-minute
 # sequence.
-ci: fmt vet docs-check build test race perf-gate cover serve-check fleet-demo
+ci: fmt vet docs-check build test race stress perf-gate cover serve-check fleet-demo
 
 build:
 	$(GO) build ./...
@@ -32,6 +32,15 @@ race:
 	$(GO) test -race -short -timeout 15m -run 'Engine|Deterministic|Cancel|Stream|Progress|Sweep|Scheduler|Serve|Monitor|Tee|Incremental|Watchdog|Preempt' \
 		./internal/engine/... ./internal/core/... ./internal/beam/... ./internal/fleet/... \
 		./internal/distrib/... ./internal/serve/... ./internal/monitor/...
+
+# Repeats the timing-sensitive test families so a flake surfaces in review
+# instead of in a later, unrelated change: the sweep service (Serve), the
+# resident scheduler (Scheduler) and the golden-prefix resume oracle (a
+# seeded tick sample under -short; plain `make test` checks every tick).
+# -count=10 also defeats the test cache.
+stress:
+	$(GO) test -count=10 -run 'Serve|Scheduler' ./internal/serve/ ./internal/distrib/
+	$(GO) test -short -count=10 -run 'TestResumeMatchesReplay' ./internal/bench/
 
 # Runs every figure/ablation benchmark exactly once — a smoke test that the
 # experiment index still executes, so engine regressions surface in CI.

@@ -103,8 +103,18 @@ type Benchmark interface {
 	Reset()
 	// Run executes the workload under the supervisor context. It must call
 	// ctx.Tick at instrumentation points and ctx.Work inside loops whose
-	// bounds come from corruptible cells.
+	// bounds come from corruptible cells. Its outer loop starts at
+	// ctx.Start() and calls ctx.Outer(i) at the top of every iteration i;
+	// together with Snapshot that lets the Runner resume an injected run
+	// from a golden checkpoint instead of replaying the prefix.
 	Run(ctx *Ctx)
+	// Snapshot passes through s every piece of state Run has changed by the
+	// top of outer iteration s.Iter(), in a fixed order. State the golden
+	// run never writes is left out: Reset restores it. The Runner calls
+	// Snapshot with a recording s on the golden run, and to Restore a
+	// checkpoint calls it again after Reset with s in restore mode, where
+	// the same calls copy the recorded values back.
+	Snapshot(s *Snap)
 	// Output returns the canonical result of the last completed Run.
 	Output() Output
 }

@@ -51,7 +51,8 @@ func (t *toy) Reset() {
 }
 
 func (t *toy) Run(ctx *Ctx) {
-	for it := 0; it < t.iters; it++ {
+	for it := ctx.Start(); it < t.iters; it++ {
+		ctx.Outer(it)
 		ctx.Tick()
 		if it == t.crashAtTick {
 			panic("forced crash")
@@ -69,6 +70,8 @@ func (t *toy) Run(ctx *Ctx) {
 		})
 	}
 }
+
+func (t *toy) Snapshot(s *Snap) { s.F64s(t.out.Data) }
 
 func (t *toy) Output() Output {
 	return Output{Vals: append([]float64(nil), t.out.Data...), Shape: t.out.Shape}

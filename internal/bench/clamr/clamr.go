@@ -99,6 +99,11 @@ type CLAMR struct {
 	// tick, so their injectable "before" values must match the zeroed fresh
 	// allocations they replace.
 	sortK, sortP, sortSK, sortSP []int
+
+	// High-water marks of the cell and quadtree-node counts since Reset:
+	// past them every registered array still holds its Reset value, so
+	// Snapshot passes only the prefixes below them.
+	cellHW, nodeHW int
 }
 
 // New builds a CLAMR instance. The initial mesh is uniform at level 1 with
@@ -241,6 +246,7 @@ func (c *CLAMR) Reset() {
 	}
 	q.n = 0
 	q.root = 0
+	c.cellHW, c.nodeHW = n, 0
 	c.ncell.Store(n)
 	c.stepCur.Store(0)
 	c.stepEnd.Store(c.cfg.Steps)
@@ -258,7 +264,10 @@ func (c *CLAMR) Reset() {
 // Run implements bench.Benchmark: four ticks per step (sort, tree, physics,
 // remesh).
 func (c *CLAMR) Run(ctx *bench.Ctx) {
-	for c.stepCur.Store(0); c.stepCur.Load() < c.stepEnd.Load(); c.stepCur.Add(1) {
+	i := ctx.Start()
+	for c.stepCur.Store(i); c.stepCur.Load() < c.stepEnd.Load(); c.stepCur.Add(1) {
+		ctx.Outer(i)
+		i++
 		n := c.ncell.Load()
 		if n <= 0 || n > c.cap {
 			panic(fmt.Sprintf("clamr: corrupted cell count %d", n))
@@ -267,6 +276,33 @@ func (c *CLAMR) Run(ctx *bench.Ctx) {
 		c.treePhase(ctx, n)
 		c.physicsPhase(ctx, n)
 		c.remeshPhase(ctx, n)
+	}
+}
+
+// Snapshot implements bench.Benchmark: the live cell count, the mesh,
+// field and neighbour arrays and the quadtree node arrays up to their
+// high-water marks (stale entries past the live counts are injectable, so
+// they are state too), and the cell cursors. The remesh and sort scratch
+// is written before it is read on every step.
+func (c *CLAMR) Snapshot(s *bench.Snap) {
+	s.Int(&c.cellHW)
+	s.Int(&c.nodeHW)
+	s.Cells(c.ncell)
+	for _, b := range []*state.Ints{c.ci, c.cj, c.clev, c.nbE, c.nbW, c.nbN, c.nbS} {
+		s.Ints(b.Data[:c.cellHW])
+	}
+	for _, b := range []*state.F64s{c.h, c.u, c.v, c.h2, c.u2, c.v2} {
+		s.F64s(b.Data[:c.cellHW])
+	}
+	q := &c.qt
+	s.Ints(q.keys[:c.cellHW])
+	s.Ints(q.lo[:c.nodeHW])
+	s.Ints(q.size[:c.nodeHW])
+	s.Ints(q.cell[:c.nodeHW])
+	s.Ints(q.child[:4*c.nodeHW])
+	for w := range c.workers {
+		wk := &c.workers[w]
+		s.Cells(wk.cStart, wk.cEnd, wk.cCur)
 	}
 }
 

@@ -203,6 +203,7 @@ func (c *CLAMR) remeshPhase(ctx *bench.Ctx, n int) {
 	copy(c.u.Data[:out], c.tmpU[:out])
 	copy(c.v.Data[:out], c.tmpV[:out])
 	c.ncell.Store(out)
+	c.cellHW = max(c.cellHW, out)
 }
 
 // siblingGroupAt reports whether cells i..i+3 are a complete coarsenable

@@ -135,6 +135,7 @@ func (c *CLAMR) treePhase(ctx *bench.Ctx, n int) {
 	ctx.Work(int64(n)*30 + 1)
 	domain := c.fine * c.fine
 	q.root = q.build(c.coverage, 0, domain, 0, n)
+	c.nodeHW = max(c.nodeHW, q.n)
 	// The phase tick fires after the build, when the node arrays are live
 	// and about to be consumed by every neighbour query — the state a
 	// GDB interrupt would find for most of the phase's duration.

@@ -29,6 +29,11 @@ type Ctx struct {
 	inject   func()
 	injected bool
 
+	// resume state: the outer iteration Run starts at, and the golden-run
+	// checkpoint recorder (nil on every other run).
+	start  int
+	record *recorder
+
 	// work accounting (atomic; workers touch it)
 	work   atomic.Int64
 	budget int64 // 0 = unlimited (golden runs)
@@ -65,6 +70,25 @@ func (c *Ctx) Tick() {
 		c.inject()
 	}
 	c.tick++
+}
+
+// Start returns the outer iteration Run must begin at: 0 on a run from
+// Reset, the checkpoint's iteration on an injected run the Runner resumed
+// (see Outer). Kernels start their outer loop here and skip, when Start is
+// positive, any prologue that ticks, accounts work or changes state: its
+// effects are already in the restored snapshot and counters.
+func (c *Ctx) Start() int { return c.start }
+
+// Outer marks the top of outer iteration i, counted from 0 with a local
+// index rather than a corruptible cell. It must be called where the
+// benchmark is quiescent, only the global registry frame is live, and
+// everything the rest of Run depends on is either restored by Reset or
+// passed through Benchmark.Snapshot. On the golden run it may record a
+// checkpoint there; on every other run it does nothing.
+func (c *Ctx) Outer(i int) {
+	if c.record != nil {
+		c.record.capture(c, i)
+	}
 }
 
 // Ticks returns the number of ticks elapsed.

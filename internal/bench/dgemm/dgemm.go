@@ -128,7 +128,9 @@ func (d *DGEMM) Reset() {
 // window attribution is meaningful.
 func (d *DGEMM) Run(ctx *bench.Ctx) {
 	n, bs := d.cfg.N, d.cfg.Block
-	for ib := 0; ib < n; ib += bs {
+	for i := ctx.Start(); i*bs < n; i++ {
+		ib := i * bs
+		ctx.Outer(i)
 		ctx.Tick()
 		// With no deferred corruption pending nothing can fire mid-section
 		// (arming happens only at quiescent ticks), so every cell Load
@@ -154,6 +156,18 @@ func (d *DGEMM) Run(ctx *bench.Ctx) {
 				d.tile(ctx, w, fast, ib, jb, min(ib+bs, n), min(jb+bs, n))
 			}
 		})
+	}
+}
+
+// Snapshot implements bench.Benchmark: the rows of C finished so far (the
+// rest are still Reset's zeros) and the nine cursors of every worker. The
+// transposed shadow of B is rebuilt before every read.
+func (d *DGEMM) Snapshot(s *bench.Snap) {
+	n := d.cfg.N
+	s.F64s(d.c.Data[:min(s.Iter()*d.cfg.Block, n)*n])
+	for w := range d.workers {
+		wk := &d.workers[w]
+		s.Cells(wk.iStart, wk.iEnd, wk.iCur, wk.jStart, wk.jEnd, wk.jCur, wk.kStart, wk.kEnd, wk.kCur)
 	}
 }
 

@@ -150,7 +150,13 @@ func (h *HotSpot) Reset() {
 func (h *HotSpot) Run(ctx *bench.Ctx) {
 	rows, cols := h.cfg.Rows, h.cfg.Cols
 	src, dst := h.tA, h.tB
-	for h.iterCur.Store(0); h.iterCur.Load() < h.iterEnd.Load(); h.iterCur.Add(1) {
+	i := ctx.Start()
+	if i%2 == 1 { // sweep i reads tA when i is even, tB when odd
+		src, dst = dst, src
+	}
+	for h.iterCur.Store(i); h.iterCur.Load() < h.iterEnd.Load(); h.iterCur.Add(1) {
+		ctx.Outer(i)
+		i++
 		// Publish the live grid before the tick so injections (which fire
 		// inside Tick) corrupt state that the coming sweep actually reads.
 		h.final = src
@@ -189,6 +195,17 @@ func (h *HotSpot) Run(ctx *bench.Ctx) {
 		src, dst = dst, src
 	}
 	h.final = src
+}
+
+// Snapshot implements bench.Benchmark: both grids (an injected sweep that
+// skips rows leaves the older one's values in place) and the row cursors.
+func (h *HotSpot) Snapshot(s *bench.Snap) {
+	s.F32s(h.tA.Data)
+	s.F32s(h.tB.Data)
+	for w := range h.workers {
+		wk := &h.workers[w]
+		s.Cells(wk.rStart, wk.rEnd, wk.rCur)
+	}
 }
 
 // sweepRow applies one stencil update to row r; shared by the cell-driven

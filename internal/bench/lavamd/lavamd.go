@@ -171,7 +171,8 @@ func (l *LavaMD) Run(ctx *bench.Ctx) {
 	if rows < 0 || rows > nb*nb*4 {
 		panic(fmt.Sprintf("lavamd: corrupted box count %d", rows*rowBoxes))
 	}
-	for row := 0; row < rows; row++ {
+	for row := ctx.Start(); row < rows; row++ {
+		ctx.Outer(row)
 		ctx.Tick()
 		ctx.Work(int64(rowBoxes)*int64(ppb)*27*int64(ppb) + 1)
 		// One orchestrator read of the (armable) potential parameter per row:
@@ -203,6 +204,16 @@ func (l *LavaMD) Run(ctx *bench.Ctx) {
 				l.box(b, ppb, a2)
 			}
 		})
+	}
+}
+
+// Snapshot implements bench.Benchmark: the forces of the box rows done so
+// far (the rest are still Reset's zeros) and the box cursors.
+func (l *LavaMD) Snapshot(s *bench.Snap) {
+	s.F64s(l.fv.Data[:4*l.cfg.PPB*l.cfg.NB*s.Iter()])
+	for w := range l.workers {
+		wk := &l.workers[w]
+		s.Cells(wk.bStart, wk.bEnd, wk.bCur)
 	}
 }
 

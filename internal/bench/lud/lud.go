@@ -132,7 +132,10 @@ func (l *LUD) Reset() {
 // Run implements bench.Benchmark: three ticks per block step.
 func (l *LUD) Run(ctx *bench.Ctx) {
 	bs := l.bsCell.Load()
-	for l.kCur.Store(0); l.kCur.Load() < l.nbCell.Load(); l.kCur.Add(1) {
+	i := ctx.Start()
+	for l.kCur.Store(i); l.kCur.Load() < l.nbCell.Load(); l.kCur.Add(1) {
+		ctx.Outer(i)
+		i++
 		k := l.kCur.Load()
 		n := l.nCell.Load()
 		nb := l.nbCell.Load()
@@ -198,6 +201,17 @@ func (l *LUD) Run(ctx *bench.Ctx) {
 				}
 			})
 		}
+	}
+}
+
+// Snapshot implements bench.Benchmark: the matrix (every block step
+// updates the whole trailing submatrix) and the block cursors. The
+// diagonal temporary is rewritten before each perimeter phase reads it.
+func (l *LUD) Snapshot(s *bench.Snap) {
+	s.F32s(l.a.Data)
+	for w := range l.workers {
+		wk := &l.workers[w]
+		s.Cells(wk.bStart, wk.bEnd, wk.bCur)
 	}
 }
 

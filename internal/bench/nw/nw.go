@@ -170,17 +170,22 @@ func (w *NW) Run(ctx *bench.Ctx) {
 	ref := w.ref.Data
 
 	// Gap initialisation of row 0 and column 0 (part of the measured
-	// kernel, as in Rodinia).
-	ctx.Tick()
-	ctx.Work(int64(2*n) + 1)
-	p := int32(w.penalty.Load())
-	for i := 1; i <= n; i++ {
-		item[i*stride] = -int32(i) * p
-		item[i] = -int32(i) * p
+	// kernel, as in Rodinia). A resumed run finds it in the snapshot.
+	if ctx.Start() == 0 {
+		ctx.Tick()
+		ctx.Work(int64(2*n) + 1)
+		p := int32(w.penalty.Load())
+		for i := 1; i <= n; i++ {
+			item[i*stride] = -int32(i) * p
+			item[i] = -int32(i) * p
+		}
 	}
 
 	// Anti-diagonal sweep: cells (i,j) with i+j == d are independent.
-	for w.diagCur.Store(2); w.diagCur.Load() <= 2*n; w.diagCur.Add(1) {
+	it := ctx.Start()
+	for w.diagCur.Store(it + 2); w.diagCur.Load() <= 2*n; w.diagCur.Add(1) {
+		ctx.Outer(it)
+		it++
 		d := w.diagCur.Load()
 		if d < 2 || d > 2*n {
 			panic(fmt.Sprintf("nw: corrupted diagonal %d", d))
@@ -280,6 +285,24 @@ func (w *NW) Run(ctx *bench.Ctx) {
 	ctx.Tick()
 	ctx.Work(int64(2*n) + 1)
 	w.traceback(n, stride, item, ref)
+}
+
+// Snapshot implements bench.Benchmark: of each DP row, the gap column and
+// the cells on the anti-diagonals swept so far (the rest are still Reset's
+// zeros), plus the cell cursors. The traceback is rewritten on every run.
+func (w *NW) Snapshot(s *bench.Snap) {
+	n := w.cfg.N
+	stride := n + 1
+	d := s.Iter() + 2            // the diagonal about to be swept
+	s.I32s(w.item.Data[:stride]) // gap row
+	for i := 1; i <= n; i++ {
+		last := max(0, min(n, d-1-i)) // cells (i,j) with i+j < d
+		s.I32s(w.item.Data[i*stride : i*stride+last+1])
+	}
+	for i := range w.workers {
+		wk := &w.workers[i]
+		s.Cells(wk.cStart, wk.cEnd, wk.cCur)
+	}
 }
 
 // traceback fills w.trace. A cell whose stored score matches none of its

@@ -111,6 +111,10 @@ type Runner struct {
 	// outBuf is the reused output buffer handed to OutputInto benchmarks on
 	// injected runs (see RunInjected's aliasing note).
 	outBuf []float64
+
+	// checkpoints are golden states recorded at the top of outer
+	// iterations, in iteration and tick order (see RunInjected).
+	checkpoints []checkpoint
 }
 
 // NewRunner builds a runner and performs the golden run. It returns an
@@ -123,7 +127,9 @@ func NewRunner(b Benchmark) (*Runner, error) {
 	// The pool itself is not referenced by its lane goroutines' closures
 	// beyond the channels, so this does not keep the runner alive.
 	runtime.AddCleanup(r, func(p *pool) { p.close() }, r.p)
-	res := r.run(-1, nil, 0, false)
+	ctx := newCtx(-1, nil, 0, r.p)
+	ctx.record = &recorder{b: b, stride: 1}
+	res := r.run(ctx, nil, false)
 	if res.Status != Completed {
 		return nil, fmt.Errorf("bench: golden run of %s did not complete: %s %s", b.Name(), res.Status, res.PanicMsg)
 	}
@@ -136,6 +142,7 @@ func NewRunner(b Benchmark) (*Runner, error) {
 	r.Golden = res.Output.Clone()
 	r.TotalTicks = res.Ticks
 	r.GoldenWork = res.Work
+	r.checkpoints = ctx.record.cps
 	return r, nil
 }
 
@@ -180,22 +187,32 @@ func (r *Runner) WindowBounds(w int) (lo, hi int) {
 
 // RunGolden re-executes the pristine benchmark (used by tests to check
 // determinism). Its output is freshly allocated, never reused.
-func (r *Runner) RunGolden() RawResult { return r.run(-1, nil, 0, false) }
+func (r *Runner) RunGolden() RawResult { return r.run(newCtx(-1, nil, 0, r.p), nil, false) }
 
 // RunInjected executes one run with the inject callback fired at the given
 // tick. The callback runs with the benchmark quiescent and typically
 // corrupts one registry site.
 //
+// The run does not replay the golden prefix: it resumes from the latest
+// golden checkpoint at or before tick (see Ctx.Outer). Until the
+// injection fires the run is the golden run, so restoring the state,
+// tick and work counters the golden run had there and entering Run at that
+// iteration gives a result bit-identical to a replay from tick 0.
+//
 // For benchmarks implementing OutputInto, the result's Output aliases a
 // buffer owned by the runner that the next RunInjected call overwrites;
 // callers keeping an output across calls must Clone it.
 func (r *Runner) RunInjected(tick int, inject func()) RawResult {
-	return r.run(tick, inject, r.Budget(), true)
+	return r.run(newCtx(tick, inject, r.Budget(), r.p), r.resumePoint(tick), true)
 }
 
-func (r *Runner) run(tick int, inject func(), budget int64, reuse bool) (res RawResult) {
+// run resets the benchmark, restores from (nil: start from Reset) and
+// executes Run under ctx.
+func (r *Runner) run(ctx *Ctx, from *checkpoint, reuse bool) (res RawResult) {
 	r.B.Reset()
-	ctx := newCtx(tick, inject, budget, r.p)
+	if from != nil {
+		from.restore(r.B, ctx)
+	}
 	defer func() {
 		res.Ticks = ctx.Ticks()
 		res.Work = ctx.WorkDone()

@@ -46,6 +46,9 @@
 //   - Diagnostics on stderr: everything a worker says flows to the stderr
 //     writer, so permanent failures surface each shard's tail alongside
 //     the backend's native failure evidence (exit codes, Job conditions).
+//     Nothing may write to it after Launch returns (a log follower must be
+//     joined first): the supervisor flushes the writer at that point and
+//     does not fence later writes.
 //   - No trusted exits: a clean exit with a missing, truncated or
 //     mislabelled partial is a failed attempt; the supervisor revalidates
 //     every artifact.

@@ -338,9 +338,17 @@ func TestSchedulerStealsStraggler(t *testing.T) {
 			return ctx.Err()
 		}
 		// Shard 0: synthetic steady progress while the real slice computes.
+		// The progress goroutine is joined before Launch returns: the
+		// supervisor flushes stderr then, and a late Encode would race it.
 		stop := make(chan struct{})
-		defer close(stop)
+		var progress sync.WaitGroup
+		defer func() {
+			close(stop)
+			progress.Wait()
+		}()
+		progress.Add(1)
 		go func() {
+			defer progress.Done()
 			for i := 1; ; i++ {
 				select {
 				case <-stop:

@@ -303,6 +303,14 @@ func (s *Server) status(e *entry) Status {
 	js := e.job.Status()
 	st.State, st.Done, st.Total = string(js.State), js.Done, js.Total
 	st.TrialsResumed, st.TrialsStolen = js.TrialsResumed, js.TrialsStolen
+	switch js.State {
+	case distrib.JobDone, distrib.JobFailed, distrib.JobCancelled:
+		// The scheduler has finished but finalize is still encoding,
+		// caching and indexing the artifact. A terminal state is published
+		// only once it is true of every endpoint (e.done closed): until then
+		// /result answers 409 and the overlap planner cannot see the result.
+		st.State = string(distrib.JobRunning)
+	}
 	return st
 }
 

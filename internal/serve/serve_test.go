@@ -498,6 +498,34 @@ func TestServeFailedSweep(t *testing.T) {
 	}
 }
 
+// TestServeStatusWaitsForFinalize: a job its scheduler has finished reads
+// running until finalize has frozen, cached and indexed the artifact
+// (e.done), so a published done always means /result answers 200.
+func TestServeStatusWaitsForFinalize(t *testing.T) {
+	sched, err := distrib.NewScheduler(distrib.Options{Shards: testShards, Launcher: &worker{}, Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sched.Close)
+	s := New(sched)
+	spec := testSpec(17)
+	job, err := sched.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := job.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	e := &entry{hash: spec.CanonicalHash(), job: job, done: make(chan struct{})}
+	if got := s.status(e).State; got != string(distrib.JobRunning) {
+		t.Fatalf("scheduler done, finalize pending: state %q, want running", got)
+	}
+	close(e.done)
+	if got := s.status(e).State; got != string(distrib.JobDone) {
+		t.Fatalf("after finalize: state %q, want done", got)
+	}
+}
+
 // TestServeList: the index lists sweeps in first-submission order.
 func TestServeList(t *testing.T) {
 	ts := newTestServer(t, &worker{})
